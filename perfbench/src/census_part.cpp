@@ -226,30 +226,45 @@ Sweep run_sweep(RunContext& ctx, const CensusShape& shape, const Inputs& inputs,
     return sweep;
 }
 
+/// Repeated sweeps over the same inputs; reports their middle-mean rate.
+class CensusPart final : public Part {
+  public:
+    CensusPart(RunContext& ctx, const CensusShape& shape)
+        : ctx_(&ctx), shape_(shape), inputs_(make_inputs(ctx.seed(), shape.targets)) {
+        // Warm-up: one full sweep lets lazily built state (the stack
+        // catalog, allocator arenas) settle before anything is timed, and
+        // brings the process to the census's own memory peak.
+        (void)run_sweep(*ctx_, shape_, inputs_, false, false);
+    }
+
+    void round() override {
+        rates_.push_back(static_cast<double>(shape_.targets) /
+                         run_sweep(*ctx_, shape_, inputs_, false, false).seconds);
+    }
+
+    void report() override { ctx_->metric("targets_per_s", middle_mean(rates_), "1/s"); }
+
+  private:
+    RunContext* ctx_;
+    CensusShape shape_;
+    Inputs inputs_;
+    std::vector<double> rates_;
+};
+
 }  // namespace
 
-void run_census_part(RunContext& ctx, const CensusShape& shape, const PartRun& run) {
+std::unique_ptr<Part> census_part(RunContext& ctx, const CensusShape& shape) {
+    return std::make_unique<CensusPart>(ctx, shape);
+}
+
+void trace_census_part(RunContext& ctx, const CensusShape& shape, const Budget& budget) {
     const Inputs inputs = make_inputs(ctx.seed(), shape.targets);
     const auto n = static_cast<double>(shape.targets);
-    // Warm-up: a sweep over the first quarter of the inputs lets lazily
-    // built state (the stack catalog, allocator arenas) settle before
-    // anything is timed.
-    (void)run_sweep(ctx, shape, make_inputs(ctx.seed(), shape.targets / 4), false, false);
-    if (run.main_part) ctx.end_setup();
-
-    if (!ctx.traced()) {
-        std::vector<double> rates;
-        const auto start = Clock::now();
-        while (run.budget.more(rates.size(), start)) {
-            rates.push_back(n / run_sweep(ctx, shape, inputs, false, false).seconds);
-        }
-        ctx.metric("targets_per_s", fast_rate(rates), "1/s");
-        return;
-    }
+    (void)run_sweep(ctx, shape, inputs, false, false);  // warm-up, as untraced
 
     // Traced: half the budget untraced, half traced, so the tracing
     // overhead is measured on the same inputs in the same process.
-    const Budget half{run.budget.seconds / 2, run.budget.min_rounds};
+    const Budget half{budget.seconds / 2, budget.min_rounds};
     std::vector<double> plain_s;
     auto start = Clock::now();
     while (half.more(plain_s.size(), start)) {

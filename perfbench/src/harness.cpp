@@ -75,6 +75,19 @@ double percentile(std::vector<double> values, double q) {
     return values[std::min(rank, values.size() - 1)];
 }
 
+double middle_mean(std::vector<double> values) {
+    if (values.empty()) return 0.0;
+    std::sort(values.begin(), values.end());
+    const std::size_t drop = values.size() / 4;
+    double sum = 0.0;
+    for (std::size_t i = drop; i < values.size() - drop; ++i) sum += values[i];
+    return sum / static_cast<double>(values.size() - 2 * drop);
+}
+
+double fastest(const std::vector<double>& seconds) {
+    return seconds.empty() ? 0.0 : *std::min_element(seconds.begin(), seconds.end());
+}
+
 double peak_rss_mb() {
     std::ifstream status("/proc/self/status");
     std::string line;

@@ -33,18 +33,22 @@ using Clock = std::chrono::steady_clock;
 [[nodiscard]] double median(std::vector<double> values);
 /// Nearest-rank percentile of a sample, q in [0, 1] (0 for an empty one).
 [[nodiscard]] double percentile(std::vector<double> values, double q);
-/// The time of a part's fast rounds: the lower quartile of its round
-/// times. On a shared host the noise between runs is one-sided — CPU time
-/// the hypervisor steals only ever slows a round down (0.3-33% of the
-/// machine's CPU per run was measured stolen) — so the fast rounds say
-/// more steadily what the code costs than the median round does.
-[[nodiscard]] inline double fast_time(std::vector<double> round_seconds) {
-    return percentile(std::move(round_seconds), 0.25);
-}
-/// The rate of a part's fast rounds: the upper quartile of its round rates.
-[[nodiscard]] inline double fast_rate(std::vector<double> round_rates) {
-    return percentile(std::move(round_rates), 0.75);
-}
+/// The figure a part reports for a per-round series: the mean of its
+/// middle half (the interquartile mean). Rounds on a shared host fall into
+/// fast and slow modes that switch every few seconds whatever the code does
+/// (the same case-study round took 0.19 or 0.27 s within one run), and CPU
+/// time the hypervisor steals only ever slows a round down. A quartile or
+/// the median of a dozen rounds flips between the modes from run to run;
+/// the middle half's mean moves only with their mix, and the outliers at
+/// both ends do not count.
+[[nodiscard]] double middle_mean(std::vector<double> values);
+/// The fastest round's time (0 for an empty series), for the figures whose
+/// slow mode is much slower than their fast one: the case study, a round's
+/// median query latency and the publish under load. Their slow mode cost
+/// them 20-40%, and the share of it in a run set their middle mean. Every
+/// run had fast rounds, and their fastest round spread no wider over runs
+/// than their middle mean, for the first two a half to a third as wide.
+[[nodiscard]] double fastest(const std::vector<double>& seconds);
 
 /// Peak resident set size of this process (VmHWM) in MB, or 0 when
 /// /proc is unavailable.

@@ -15,13 +15,15 @@
 // other file the run makes (spill segments included).
 //
 // Every workload runs all three parts (census, pipeline, serve; see
-// parts.hpp), so every metric is measured on every workload. The workload
-// decides which part is its main one: that part goes first, with the
-// largest inputs and most of the run, its set-up ends the benchmark's
-// set-up time, and the peak RSS is read as soon as it is done.
+// parts.hpp), so every metric is measured on every workload; the workload
+// chooses the census's shape. An untraced run sets the three parts up,
+// then interleaves their rounds over the whole run, each part getting its
+// share of the time, so that every metric samples the same stretch of the
+// host's load rather than a few seconds of it.
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -37,44 +39,26 @@ namespace {
 
 using namespace perfbench;
 
-enum class Part { census, pipeline, serve };
-
 struct Workload {
     std::string_view name;
-    Part main_part;
     CensusShape census;
 };
 
-// Sizes of the parts. A workload's main part runs at its full size; the
-// other two run at their small size.
-constexpr CensusShape kCensusSpill{.targets = 100'000, .lanes = 1, .spill = true};
-constexpr CensusShape kCensusMemory{.targets = 100'000, .lanes = 2, .spill = false};
-constexpr CensusShape kCensusSmall{.targets = 50'000, .lanes = 1, .spill = false};
-constexpr PipelineShape kPipelineFull{.ases = 300,
-                                      .scale = 0.4,
-                                      .traces = 3000,
-                                      .case_study_min_routers = 10,
-                                      .path_destinations = 64};
-constexpr PipelineShape kPipelineSmall{.ases = 150,
-                                       .scale = 0.3,
-                                       .traces = 1500,
-                                       .case_study_min_routers = 5,
-                                       .path_destinations = 32};
-// Multiples of 32768 targets: see serve_part.cpp.
-constexpr ServeShape kServeFull{.targets = 65'536, .clients = 2};
-constexpr ServeShape kServeSmall{.targets = 32'768, .clients = 2};
-
 constexpr Workload kWorkloads[] = {
-    {"census-spill", Part::census, kCensusSpill},
-    {"census-memory", Part::census, kCensusMemory},
-    {"paper-pipeline", Part::pipeline, kCensusSmall},
-    {"serve-queries", Part::serve, kCensusSmall},
+    {"census-spill", {.targets = 50'000, .lanes = 1, .spill = true}},
+    {"census-memory", {.targets = 50'000, .lanes = 2, .spill = false}},
 };
+constexpr PipelineShape kPipeline{.ases = 300,
+                                  .scale = 0.4,
+                                  .traces = 3000,
+                                  .case_study_min_routers = 10,
+                                  .path_destinations = 64};
+// Multiples of 32768 targets: see serve_part.cpp.
+constexpr ServeShape kServe{.targets = 32'768, .clients = 1};
 
-/// Share of --seconds the main part gets; the other two split the rest.
-constexpr double kMainShare = 0.7;
-constexpr std::size_t kMainMinRounds = 3;
-constexpr std::size_t kOtherMinRounds = 2;
+/// Shares of --seconds the census, pipeline and serve parts get.
+constexpr double kShares[3] = {0.35, 0.35, 0.3};
+constexpr std::size_t kMinRounds = 3;
 
 struct Options {
     std::string workload;
@@ -160,30 +144,48 @@ void print_result(const RunContext& ctx) {
 }
 
 void run_workload(RunContext& ctx, const Workload& workload, double seconds) {
-    const double other_seconds = seconds * (1.0 - kMainShare) / 2.0;
-    const PartRun main_run{{seconds * kMainShare, kMainMinRounds}, true};
-    const PartRun other_run{{other_seconds, kOtherMinRounds}, false};
-    const auto run_part = [&](Part part, const PartRun& run) {
-        Scope span(ctx.tracer(), part == Part::census     ? "part.census"
-                                 : part == Part::pipeline ? "part.pipeline"
-                                                          : "part.serve");
-        switch (part) {
-            case Part::census:
-                run_census_part(ctx, workload.census, run);
-                break;
-            case Part::pipeline:
-                run_pipeline_part(ctx, run.main_part ? kPipelineFull : kPipelineSmall, run);
-                break;
-            case Part::serve:
-                run_serve_part(ctx, run.main_part ? kServeFull : kServeSmall, run);
-                break;
+    if (ctx.traced()) {
+        {
+            Scope span(ctx.tracer(), "part.census");
+            trace_census_part(ctx, workload.census, {seconds * kShares[0], kMinRounds});
         }
-    };
-    run_part(workload.main_part, main_run);
-    if (!ctx.traced()) ctx.metric("peak_rss_mb", peak_rss_mb(), "MB");
-    for (const Part part : {Part::census, Part::pipeline, Part::serve}) {
-        if (part != workload.main_part) run_part(part, other_run);
+        {
+            Scope span(ctx.tracer(), "part.pipeline");
+            trace_pipeline_part(ctx, kPipeline, {seconds * kShares[1], kMinRounds});
+        }
+        Scope span(ctx.tracer(), "part.serve");
+        trace_serve_part(ctx, kServe, {seconds * kShares[2], kMinRounds});
+        return;
     }
+    const std::unique_ptr<Part> census = census_part(ctx, workload.census);
+    // The census's own peak: its inputs and one full sweep, before the
+    // other parts hold any memory.
+    ctx.metric("peak_rss_mb", peak_rss_mb(), "MB");
+    const std::unique_ptr<Part> pipeline = pipeline_part(ctx, kPipeline);
+    const std::unique_ptr<Part> serve = serve_part(ctx, kServe);
+    Part* const parts[3] = {census.get(), pipeline.get(), serve.get()};
+    ctx.end_setup();
+    // Next is always the part furthest behind its share of the time.
+    double busy_s[3] = {};
+    std::size_t rounds[3] = {};
+    const auto start = Clock::now();
+    const auto more = [&] {
+        return seconds_since(start) < seconds ||
+               *std::min_element(std::begin(rounds), std::end(rounds)) < kMinRounds;
+    };
+    while (more()) {
+        std::size_t next = 0;
+        for (std::size_t i = 1; i < 3; ++i) {
+            if (busy_s[i] / kShares[i] < busy_s[next] / kShares[next]) next = i;
+        }
+        const auto t0 = Clock::now();
+        parts[next]->round();
+        busy_s[next] += seconds_since(t0);
+        ++rounds[next];
+    }
+    std::cerr << "rounds: census " << rounds[0] << ", pipeline " << rounds[1] << ", serve "
+              << rounds[2] << "\n";
+    for (Part* part : parts) part->report();
 }
 
 }  // namespace

@@ -8,11 +8,14 @@
 //   serve     a CensusService answering framed socket queries while it
 //             republishes (serve, core)
 //
-// A workload sets each part's input size and share of the run; see
-// main.cpp. Each part reports the same metrics whatever the workload.
+// An untraced run sets every part up first, then runs their rounds
+// interleaved over the whole run (see main.cpp); a traced run runs each
+// part's traced function in turn. The workload only chooses the census's
+// shape; each part reports the same metrics whatever the workload.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 #include "harness.hpp"
 
@@ -37,15 +40,25 @@ struct ServeShape {
     std::size_t clients = 2;
 };
 
-/// How a part is run. The workload's main part goes first: its set-up ends
-/// the benchmark's set-up time, and the peak RSS is read when it is done.
-struct PartRun {
-    Budget budget;
-    bool main_part = false;
+/// A part of an untraced run. Its factory sets it up (inputs, reference
+/// results, a warm-up round); round() then runs one timed round and checks
+/// its outputs, and report() adds the part's end-to-end metrics, each
+/// taken over all of its rounds.
+class Part {
+  public:
+    virtual ~Part() = default;
+    virtual void round() = 0;
+    virtual void report() = 0;
 };
 
-void run_census_part(RunContext& ctx, const CensusShape& shape, const PartRun& run);
-void run_pipeline_part(RunContext& ctx, const PipelineShape& shape, const PartRun& run);
-void run_serve_part(RunContext& ctx, const ServeShape& shape, const PartRun& run);
+std::unique_ptr<Part> census_part(RunContext& ctx, const CensusShape& shape);
+std::unique_ptr<Part> pipeline_part(RunContext& ctx, const PipelineShape& shape);
+std::unique_ptr<Part> serve_part(RunContext& ctx, const ServeShape& shape);
+
+/// The traced runs: each sets its part up, runs rounds within `budget` and
+/// adds the part's per-layer metrics.
+void trace_census_part(RunContext& ctx, const CensusShape& shape, const Budget& budget);
+void trace_pipeline_part(RunContext& ctx, const PipelineShape& shape, const Budget& budget);
+void trace_serve_part(RunContext& ctx, const ServeShape& shape, const Budget& budget);
 
 }  // namespace perfbench

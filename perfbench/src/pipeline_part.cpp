@@ -380,42 +380,62 @@ void check_paths(RunContext& ctx, const sim::Topology& topology, const PathRun& 
                   " of them unknown to the topology");
 }
 
+/// Builds the world, runs the case study and the path census once per
+/// round; reports the middle mean of the build and path-census times and
+/// the fastest case study.
+class PipelinePart final : public Part {
+  public:
+    PipelinePart(RunContext& ctx, const PipelineShape& shape)
+        : ctx_(&ctx), shape_(shape), config_(world_config(shape)), paths_config_(path_config(shape)) {
+        // Warm-up: one world build lets lazily built state settle.
+        (void)analysis::ExperimentWorld::create(config_);
+        release_free_memory();
+    }
+
+    void round() override {
+        const auto t0 = Clock::now();
+        auto world = analysis::ExperimentWorld::create(config_);
+        const auto t1 = Clock::now();
+        const WorldView view = view_of(*world);
+        const CaseStudy study = run_case_study(view, shape_, nullptr);
+        const auto t2 = Clock::now();
+        const PathRun paths = run_path_census(view, paths_config_, nullptr);
+        const auto t3 = Clock::now();
+        build_s_.push_back(seconds_between(t0, t1));
+        case_s_.push_back(seconds_between(t1, t2));
+        path_s_.push_back(seconds_between(t2, t3));
+        check_world(*ctx_, view, study, config_.signature_min_occurrences);
+        check_paths(*ctx_, *view.topology, paths, config_.signature_min_occurrences);
+        ctx_->attempted(1);
+        world.reset();
+        release_free_memory();
+    }
+
+    void report() override {
+        ctx_->metric("world_build_s", middle_mean(build_s_), "s");
+        ctx_->metric("case_study_s", fastest(case_s_), "s");
+        ctx_->metric("path_census_s", middle_mean(path_s_), "s");
+    }
+
+  private:
+    RunContext* ctx_;
+    PipelineShape shape_;
+    analysis::WorldConfig config_;
+    analysis::PathCensusConfig paths_config_;
+    std::vector<double> build_s_, case_s_, path_s_;
+};
+
 }  // namespace
 
-void run_pipeline_part(RunContext& ctx, const PipelineShape& shape, const PartRun& run) {
+std::unique_ptr<Part> pipeline_part(RunContext& ctx, const PipelineShape& shape) {
+    return std::make_unique<PipelinePart>(ctx, shape);
+}
+
+void trace_pipeline_part(RunContext& ctx, const PipelineShape& shape, const Budget& budget) {
     const analysis::WorldConfig config = world_config(shape);
     const analysis::PathCensusConfig paths_config = path_config(shape);
-    // Warm-up: one world build lets lazily built state settle.
-    (void)analysis::ExperimentWorld::create(config);
+    (void)analysis::ExperimentWorld::create(config);  // warm-up, as untraced
     release_free_memory();
-    if (run.main_part) ctx.end_setup();
-
-    if (!ctx.traced()) {
-        std::vector<double> build_s, case_s, path_s;
-        const auto start = Clock::now();
-        while (run.budget.more(build_s.size(), start)) {
-            const auto t0 = Clock::now();
-            auto world = analysis::ExperimentWorld::create(config);
-            const auto t1 = Clock::now();
-            const WorldView view = view_of(*world);
-            const CaseStudy study = run_case_study(view, shape, nullptr);
-            const auto t2 = Clock::now();
-            const PathRun paths = run_path_census(view, paths_config, nullptr);
-            const auto t3 = Clock::now();
-            build_s.push_back(seconds_between(t0, t1));
-            case_s.push_back(seconds_between(t1, t2));
-            path_s.push_back(seconds_between(t2, t3));
-            check_world(ctx, view, study, config.signature_min_occurrences);
-            check_paths(ctx, *view.topology, paths, config.signature_min_occurrences);
-            ctx.attempted(1);
-            world.reset();
-            release_free_memory();
-        }
-        ctx.metric("world_build_s", fast_time(build_s), "s");
-        ctx.metric("case_study_s", fast_time(case_s), "s");
-        ctx.metric("path_census_s", fast_time(path_s), "s");
-        return;
-    }
 
     Tracer* tracer = ctx.tracer();
     std::vector<double> plain_build_s, traced_build_s, evaluate_s, diversity_s, homogeneity_s,
@@ -424,7 +444,7 @@ void run_pipeline_part(RunContext& ctx, const PipelineShape& shape, const PartRu
     PathRun last_paths;
     const auto start = Clock::now();
     std::size_t rounds = 0;
-    while (run.budget.more(rounds, start)) {
+    while (budget.more(rounds, start)) {
         Scope round(tracer, "pipeline.round");
         const auto t0 = Clock::now();
         auto reference = analysis::ExperimentWorld::create(config);

@@ -11,6 +11,8 @@
 // so every census the service runs stamps the same IPIDs (mod 2^16) as the
 // reference's; the world's loss draws are keyed on the request IPID, so
 // every published version must answer exactly like the reference.
+#include <pthread.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,6 +21,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -195,6 +198,42 @@ class ServeFixture {
     std::set<std::uint64_t> published_;
 };
 
+/// The CPUs this process may run on.
+std::vector<int> allowed_cpus() {
+    cpu_set_t allowed;
+    std::vector<int> cpus;
+    if (::sched_getaffinity(0, sizeof allowed, &allowed) != 0) return cpus;
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+    }
+    return cpus;
+}
+
+/// Keeps the calling thread on `cpus` while it lives, then gives it back
+/// the CPUs it had. Threads the calling thread starts meanwhile inherit
+/// the restriction.
+class CpuPin {
+  public:
+    explicit CpuPin(std::span<const int> cpus) {
+        if (cpus.empty() || ::pthread_getaffinity_np(::pthread_self(), sizeof saved_, &saved_) != 0) {
+            return;
+        }
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        for (const int cpu : cpus) CPU_SET(cpu, &set);
+        pinned_ = ::pthread_setaffinity_np(::pthread_self(), sizeof set, &set) == 0;
+    }
+    ~CpuPin() {
+        if (pinned_) (void)::pthread_setaffinity_np(::pthread_self(), sizeof saved_, &saved_);
+    }
+    CpuPin(const CpuPin&) = delete;
+    CpuPin& operator=(const CpuPin&) = delete;
+
+  private:
+    cpu_set_t saved_{};
+    bool pinned_ = false;
+};
+
 struct ClientTally {
     std::vector<double> latency_us;
     std::map<std::uint64_t, std::uint64_t> versions;
@@ -225,17 +264,33 @@ LoopResult query_loop(ServeFixture& fixture, std::size_t clients, bool with_cens
         client_fds[c] = pair[0];
         server_fds[c] = pair[1];
     }
+    // When there are CPUs enough, each client and the connection thread
+    // serving it get a CPU each, and the census runs on the rest, at least
+    // two; otherwise nothing is pinned. Left to the scheduler, a census
+    // thread now and then shared a CPU with a client, and a round's median
+    // latency jumped by half. Client and server stay on different CPUs, as
+    // they would be in a deployment: on a shared 4-vCPU virtual machine a
+    // same-CPU socket ping-pong switched between a 5 us and an 8 us mode
+    // every few seconds, and sharing a CPU spread the rounds' median
+    // latency three times as wide; a cross-CPU ping-pong held at 11-14 us.
+    const std::vector<int> cpus = allowed_cpus();
+    const bool partition = cpus.size() >= 2 * clients + 2;
+    const auto cpu_of = [&](std::size_t slot) {
+        return std::span<const int>(cpus).subspan(partition ? slot : 0, partition ? 1 : 0);
+    };
     const Tracer::Id parent = Scope::current();
     std::atomic<bool> stop{false};
     std::atomic<std::size_t> started{0};
     std::vector<std::thread> servers, workers;
     for (std::size_t c = 0; c < clients; ++c) {
-        servers.emplace_back([&fixture, fd = server_fds[c]] {
+        servers.emplace_back([&fixture, fd = server_fds[c], pin = cpu_of(2 * c + 1)] {
+            const CpuPin pinned(pin);
             (void)serve::serve_connection(fd, fixture.service(), fixture.engine());
         });
     }
     for (std::size_t c = 0; c < clients; ++c) {
         workers.emplace_back([&, c] {
+            const CpuPin pinned(cpu_of(2 * c));
             ClientTally& tally = result.clients[c];
             std::mt19937_64 rng(fixture.seed() * 7919 + round * 131 + c);
             bool counted = false;
@@ -267,6 +322,8 @@ LoopResult query_loop(ServeFixture& fixture, std::size_t clients, bool with_cens
     while (started.load() < clients) std::this_thread::yield();
     const auto start = Clock::now();
     if (with_census) {
+        const CpuPin census_cpus(
+            std::span<const int>(cpus).subspan(partition ? 2 * clients : cpus.size()));
         result.publish_s = fixture.publish();
     } else {
         std::this_thread::sleep_for(std::chrono::duration<double>(idle_seconds));
@@ -299,43 +356,64 @@ void account(RunContext& ctx, const ServeFixture& fixture, const LoopResult& res
     }
 }
 
+/// One query round per census published under load; reports the middle
+/// mean of the rounds' query rates and 99th percentiles, and the fastest
+/// round's median latency and publish time.
+class ServePart final : public Part {
+  public:
+    ServePart(RunContext& ctx, const ServeShape& shape)
+        : ctx_(&ctx), shape_(shape), fixture_(ctx.seed(), shape.targets) {
+        (void)fixture_.publish();  // the first version: something to serve
+        release_free_memory();
+    }
+
+    void round() override {
+        const LoopResult result = query_loop(fixture_, shape_.clients, true, 0.0, nullptr, round_++);
+        std::vector<double> latency_us;
+        std::uint64_t queries = 0;
+        account(*ctx_, fixture_, result, latency_us, queries);
+        publish_s_.push_back(result.publish_s);
+        rates_.push_back(static_cast<double>(queries) / result.seconds);
+        p50_us_.push_back(percentile(latency_us, 0.50));
+        p99_us_.push_back(percentile(latency_us, 0.99));
+        release_free_memory();
+    }
+
+    void report() override {
+        // Latency percentiles per round, then across the rounds.
+        ctx_->metric("query_rate", middle_mean(rates_), "1/s");
+        ctx_->metric("query_p50_us", fastest(p50_us_), "us");
+        ctx_->metric("query_p99_us", middle_mean(p99_us_), "us");
+        ctx_->metric("publish_s", fastest(publish_s_), "s");
+    }
+
+  private:
+    RunContext* ctx_;
+    ServeShape shape_;
+    ServeFixture fixture_;
+    std::uint64_t round_ = 0;
+    std::vector<double> publish_s_, rates_, p50_us_, p99_us_;
+};
+
 }  // namespace
 
-void run_serve_part(RunContext& ctx, const ServeShape& shape, const PartRun& run) {
+std::unique_ptr<Part> serve_part(RunContext& ctx, const ServeShape& shape) {
+    return std::make_unique<ServePart>(ctx, shape);
+}
+
+void trace_serve_part(RunContext& ctx, const ServeShape& shape, const Budget& budget) {
     ServeFixture fixture(ctx.seed(), shape.targets);
     (void)fixture.publish();  // the first version: something to serve
     release_free_memory();
-    if (run.main_part) ctx.end_setup();
-    std::vector<double> latency_us, publish_s, round_rates, p50_us, p99_us;
+    std::vector<double> latency_us;
     std::uint64_t queries = 0;
     std::uint64_t round = 0;
-
-    if (!ctx.traced()) {
-        const auto start = Clock::now();
-        while (run.budget.more(publish_s.size(), start)) {
-            const LoopResult result = query_loop(fixture, shape.clients, true, 0.0, nullptr, round++);
-            const std::uint64_t before = queries;
-            latency_us.clear();
-            account(ctx, fixture, result, latency_us, queries);
-            publish_s.push_back(result.publish_s);
-            round_rates.push_back(static_cast<double>(queries - before) / result.seconds);
-            p50_us.push_back(percentile(latency_us, 0.50));
-            p99_us.push_back(percentile(latency_us, 0.99));
-            release_free_memory();
-        }
-        // Latency percentiles per round, then the fast rounds' figure.
-        ctx.metric("query_rate", fast_rate(round_rates), "1/s");
-        ctx.metric("query_p50_us", fast_time(p50_us), "us");
-        ctx.metric("query_p99_us", fast_time(p99_us), "us");
-        ctx.metric("publish_s", fast_time(publish_s), "s");
-        return;
-    }
 
     // Traced: a quarter of the budget each for untraced loaded rounds,
     // traced loaded rounds (a span per query), the idle query loop plus the
     // idle publish, and the in-process request handler.
     Tracer* tracer = ctx.tracer();
-    const Budget quarter{run.budget.seconds / 4, 1};
+    const Budget quarter{budget.seconds / 4, 1};
     std::vector<double> plain_rates, traced_rates;
     for (const bool traced : {false, true}) {
         auto& rates = traced ? traced_rates : plain_rates;
